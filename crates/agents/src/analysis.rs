@@ -13,6 +13,7 @@ use darshan::counters::{Counter, FCounter, COUNTERS};
 use darshan::Table;
 use llmsim::LlmBackend;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// Follow-up questions the Tuning Agent may pose (the "minor loop").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -80,31 +81,55 @@ pub struct AnalysisAgent<'b> {
 const DIGEST_ROW_CAP: usize = 1500;
 
 /// Render the session context the agent carries: header, column glossary,
-/// and a row digest of every dataframe. Stable across calls so the prompt
-/// cache resolves it after the first turn.
+/// and a row digest of every dataframe. A session renders it once and hands
+/// the same string to every Analysis Agent call, so the prompt cache
+/// resolves it after the first turn.
 pub fn tables_digest(tables: &[Table]) -> String {
     let mut s = String::with_capacity(1 << 16);
     s.push_str("COLUMN DESCRIPTIONS:\n");
     for (k, v) in darshan::column_descriptions() {
-        s.push_str(&format!("{k}: {v}\n"));
+        let _ = writeln!(s, "{k}: {v}");
     }
     for t in tables {
-        s.push_str(&format!("\nDATAFRAME {} ({} rows):\n", t.name, t.len()));
+        let _ = writeln!(s, "\nDATAFRAME {} ({} rows):", t.name, t.len());
         s.push_str(&t.columns.join(","));
         s.push('\n');
         for row in t.rows.iter().take(DIGEST_ROW_CAP) {
-            let line: Vec<String> = row.iter().map(|v| format!("{v:.0}")).collect();
-            s.push_str(&line.join(","));
+            for (i, &v) in row.iter().enumerate() {
+                if i > 0 {
+                    s.push(',');
+                }
+                push_cell(&mut s, v);
+            }
             s.push('\n');
         }
         if t.len() > DIGEST_ROW_CAP {
-            s.push_str(&format!(
-                "... ({} rows truncated)\n",
-                t.len() - DIGEST_ROW_CAP
-            ));
+            let _ = writeln!(s, "... ({} rows truncated)", t.len() - DIGEST_ROW_CAP);
         }
     }
     s
+}
+
+/// Append `v` exactly as `format!("{v:.0}")` renders it. Counter cells —
+/// positive integers below 2^53, which `u64` holds exactly — and `+0.0`
+/// take a digit loop; every other value goes through the formatter.
+fn push_cell(s: &mut String, v: f64) {
+    const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0; // 2^53
+    if v.to_bits() == 0 {
+        s.push('0');
+    } else if v > 0.0 && v < EXACT_INT_LIMIT && v.fract() == 0.0 {
+        let mut n = v as u64;
+        let mut digits = [0u8; 16];
+        let mut start = digits.len();
+        while n > 0 {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+        s.extend(digits[start..].iter().map(|&d| char::from(d)));
+    } else {
+        let _ = write!(s, "{v:.0}");
+    }
 }
 
 impl<'b> AnalysisAgent<'b> {
@@ -113,18 +138,18 @@ impl<'b> AnalysisAgent<'b> {
         AnalysisAgent { backend }
     }
 
-    /// Produce the initial I/O report from the log header and tables.
-    pub fn initial_report(&mut self, header: &str, tables: &[Table]) -> IoReport {
+    /// Produce the initial I/O report from the log header and tables;
+    /// `digest` is [`tables_digest`] of `tables`.
+    pub fn initial_report(&mut self, header: &str, tables: &[Table], digest: &str) -> IoReport {
         let report = build_report(header, tables);
         // Header and task come *after* the digest so follow-up calls share
         // the long digest prefix (prompt-cache friendly, as in §5.7).
         let prompt = format!(
-            "You are the Analysis Agent operating on loaded pandas dataframes.\n{}\n\
+            "You are the Analysis Agent operating on loaded pandas dataframes.\n{digest}\n\
              DARSHAN HEADER:\n{header}\n\
              Task: summarize the application's I/O behavior, identify the files \
              accessed, and highlight anything useful for tuning the parallel \
-             file system parameters.",
-            tables_digest(tables)
+             file system parameters."
         );
         let response = report.render();
         self.backend.charge(&prompt, &response);
@@ -132,13 +157,13 @@ impl<'b> AnalysisAgent<'b> {
     }
 
     /// Answer a follow-up question from the Tuning Agent. The session keeps
-    /// the dataframe digest in context (prefix-cached after the first call).
-    pub fn answer(&mut self, q: AnalysisQuestion, tables: &[Table]) -> Answer {
+    /// the dataframe digest in context (prefix-cached after the first call);
+    /// `digest` is [`tables_digest`] of `tables`.
+    pub fn answer(&mut self, q: AnalysisQuestion, tables: &[Table], digest: &str) -> Answer {
         let ans = compute_answer(q, tables);
         let prompt = format!(
-            "You are the Analysis Agent operating on loaded pandas dataframes.\n{}\n\
+            "You are the Analysis Agent operating on loaded pandas dataframes.\n{digest}\n\
              Follow-up question: {}",
-            tables_digest(tables),
             q.prompt()
         );
         self.backend.charge(&prompt, &ans.text);
@@ -444,6 +469,7 @@ mod tests {
     use super::*;
     use llmsim::{ModelProfile, SimLlm};
     use pfs::{ClusterSpec, PfsSimulator, TuningConfig};
+    use proptest::prelude::*;
     use workloads::WorkloadKind;
 
     fn tables_for(kind: WorkloadKind) -> (String, Vec<Table>) {
@@ -464,7 +490,7 @@ mod tests {
         let (header, tables) = tables_for(WorkloadKind::Ior16M);
         let mut backend = SimLlm::new(ModelProfile::gpt_4o(), 1);
         let mut agent = AnalysisAgent::new(&mut backend);
-        let r = agent.initial_report(&header, &tables);
+        let r = agent.initial_report(&header, &tables, &tables_digest(&tables));
         assert_eq!(r.nprocs, 50);
         assert!(r.avg_write_size > 8e6, "{}", r.avg_write_size);
         assert!(r.seq_write_fraction > 0.9);
@@ -480,7 +506,7 @@ mod tests {
         let (header, tables) = tables_for(WorkloadKind::Ior64K);
         let mut backend = SimLlm::new(ModelProfile::gpt_4o(), 1);
         let mut agent = AnalysisAgent::new(&mut backend);
-        let r = agent.initial_report(&header, &tables);
+        let r = agent.initial_report(&header, &tables, &tables_digest(&tables));
         assert!(r.avg_write_size < 100_000.0);
         assert!(r.consec_write_fraction < 0.2, "{}", r.consec_write_fraction);
         assert_eq!(
@@ -494,7 +520,7 @@ mod tests {
         let (header, tables) = tables_for(WorkloadKind::MdWorkbench8K);
         let mut backend = SimLlm::new(ModelProfile::gpt_4o(), 1);
         let mut agent = AnalysisAgent::new(&mut backend);
-        let r = agent.initial_report(&header, &tables);
+        let r = agent.initial_report(&header, &tables, &tables_digest(&tables));
         assert!(r.meta_ratio > 0.5, "{}", r.meta_ratio);
         assert!(r.avg_file_bytes < 100_000.0);
         assert_eq!(
@@ -508,7 +534,7 @@ mod tests {
         let (header, tables) = tables_for(WorkloadKind::Io500);
         let mut backend = SimLlm::new(ModelProfile::gpt_4o(), 1);
         let mut agent = AnalysisAgent::new(&mut backend);
-        let r = agent.initial_report(&header, &tables);
+        let r = agent.initial_report(&header, &tables, &tables_digest(&tables));
         assert_eq!(r.classify(), crate::report::WorkloadClass::MixedMultiPhase);
     }
 
@@ -517,9 +543,10 @@ mod tests {
         let (_, tables) = tables_for(WorkloadKind::MdWorkbench8K);
         let mut backend = SimLlm::new(ModelProfile::gpt_4o(), 1);
         let mut agent = AnalysisAgent::new(&mut backend);
-        let a = agent.answer(AnalysisQuestion::FileSizeDistribution, &tables);
+        let digest = tables_digest(&tables);
+        let a = agent.answer(AnalysisQuestion::FileSizeDistribution, &tables, &digest);
         assert!(a.value > 0.9, "small-file fraction {}", a.value);
-        let b = agent.answer(AnalysisQuestion::MetaToDataRatio, &tables);
+        let b = agent.answer(AnalysisQuestion::MetaToDataRatio, &tables, &digest);
         assert!(b.value > 0.5);
         assert!(b.text.contains("metadata ratio"));
     }
@@ -531,10 +558,123 @@ mod tests {
         let mut backend = SimLlm::new(ModelProfile::gpt_4o(), 1);
         {
             let mut agent = AnalysisAgent::new(&mut backend);
-            agent.initial_report(&header, &tables);
-            agent.answer(AnalysisQuestion::Sequentiality, &tables);
+            let digest = tables_digest(&tables);
+            agent.initial_report(&header, &tables, &digest);
+            agent.answer(AnalysisQuestion::Sequentiality, &tables, &digest);
         }
         assert_eq!(backend.usage().calls, 2);
         assert!(backend.usage().input_tokens > 50);
+    }
+
+    /// The digest as first written: every cell through `format!`, each row
+    /// collected and joined. The fast renderer must match it byte for byte.
+    fn reference_digest(tables: &[Table]) -> String {
+        let mut s = String::with_capacity(1 << 16);
+        s.push_str("COLUMN DESCRIPTIONS:\n");
+        for (k, v) in darshan::column_descriptions() {
+            s.push_str(&format!("{k}: {v}\n"));
+        }
+        for t in tables {
+            s.push_str(&format!("\nDATAFRAME {} ({} rows):\n", t.name, t.len()));
+            s.push_str(&t.columns.join(","));
+            s.push('\n');
+            for row in t.rows.iter().take(DIGEST_ROW_CAP) {
+                let line: Vec<String> = row.iter().map(|v| format!("{v:.0}")).collect();
+                s.push_str(&line.join(","));
+                s.push('\n');
+            }
+            if t.len() > DIGEST_ROW_CAP {
+                s.push_str(&format!(
+                    "... ({} rows truncated)\n",
+                    t.len() - DIGEST_ROW_CAP
+                ));
+            }
+        }
+        s
+    }
+
+    fn cell(v: f64) -> String {
+        let mut s = String::new();
+        push_cell(&mut s, v);
+        s
+    }
+
+    #[test]
+    fn digest_matches_reference_on_every_benchmark() {
+        let mut truncated = false;
+        for kind in workloads::BENCHMARKS {
+            let (_, tables) = tables_for(kind);
+            truncated |= tables.iter().any(|t| t.len() > DIGEST_ROW_CAP);
+            assert_eq!(
+                tables_digest(&tables),
+                reference_digest(&tables),
+                "{}",
+                kind.label()
+            );
+        }
+        assert!(truncated, "some benchmark must exercise the row cap");
+    }
+
+    #[test]
+    fn cell_renders_like_format_on_pinned_values() {
+        let two53 = 9_007_199_254_740_992.0_f64;
+        let pinned = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            0.5,
+            1.5,
+            2.5,
+            -0.5,
+            -2.5,
+            0.49999999999999994,
+            1.0,
+            9.0,
+            10.0,
+            1234567.0,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            u64::MAX as f64,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+        ];
+        for v in pinned {
+            assert_eq!(cell(v), format!("{v:.0}"), "bits {:#x}", v.to_bits());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Any bit pattern: NaNs, infinities, subnormals, huge magnitudes.
+        #[test]
+        fn cell_equals_format_on_any_bits(bits in 0u64..u64::MAX) {
+            let v = f64::from_bits(bits);
+            prop_assert_eq!(cell(v), format!("{v:.0}"));
+        }
+
+        /// The counter range the fast path serves, and its neighbours.
+        #[test]
+        fn cell_equals_format_on_integers(n in 0u64..(1 << 54), neg in 0u8..2) {
+            let v = if neg == 1 { -(n as f64) } else { n as f64 };
+            prop_assert_eq!(cell(v), format!("{v:.0}"));
+        }
+
+        /// Fractional cells, ties included.
+        #[test]
+        fn cell_equals_format_on_fractions(v in -1e7f64..1e7, half in 0u32..4_000_000) {
+            prop_assert_eq!(cell(v), format!("{v:.0}"));
+            let tie = half as f64 + 0.5;
+            prop_assert_eq!(cell(tie), format!("{tie:.0}"));
+        }
     }
 }

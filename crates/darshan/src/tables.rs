@@ -32,27 +32,31 @@ impl Table {
     /// Values of one column.
     pub fn column(&self, name: &str) -> Option<Vec<f64>> {
         let idx = self.col(name)?;
-        Some(self.rows.iter().map(|r| r[idx]).collect())
+        Some(self.values(idx).collect())
+    }
+
+    /// Values of column `idx`, row by row, without collecting them.
+    fn values(&self, idx: usize) -> impl Iterator<Item = f64> + '_ {
+        self.rows.iter().map(move |r| r[idx])
     }
 
     /// Sum of a column (0 if the column is missing).
     pub fn sum(&self, name: &str) -> f64 {
-        self.column(name).map(|v| v.iter().sum()).unwrap_or(0.0)
+        self.col(name).map_or(0.0, |i| self.values(i).sum())
     }
 
     /// Mean of a column (0 if missing or empty).
     pub fn mean(&self, name: &str) -> f64 {
-        match self.column(name) {
-            Some(v) if !v.is_empty() => v.iter().sum::<f64>() / v.len() as f64,
+        match self.col(name) {
+            Some(i) if !self.is_empty() => self.values(i).sum::<f64>() / self.len() as f64,
             _ => 0.0,
         }
     }
 
     /// Maximum of a column (0 if missing or empty).
     pub fn max(&self, name: &str) -> f64 {
-        self.column(name)
-            .map(|v| v.into_iter().fold(0.0_f64, f64::max))
-            .unwrap_or(0.0)
+        self.col(name)
+            .map_or(0.0, |i| self.values(i).fold(0.0_f64, f64::max))
     }
 
     /// Number of rows.

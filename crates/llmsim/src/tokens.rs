@@ -51,8 +51,9 @@ impl PrefixCache {
             let known = self.seen.contains(&chain);
             if still_prefix {
                 if known {
-                    cached_tokens +=
-                        estimate_tokens(std::str::from_utf8(&bytes[offset..end]).unwrap_or(""));
+                    // Byte length, not the block as text: a block boundary
+                    // may split a multi-byte character.
+                    cached_tokens += ((end - offset) as u64).div_ceil(4);
                 } else {
                     still_prefix = false;
                 }
@@ -165,6 +166,18 @@ mod tests {
         c.observe(&"prompt one ".repeat(200));
         let cached = c.observe(&"different lead ".repeat(200));
         assert_eq!(cached, 0);
+    }
+
+    #[test]
+    fn block_splitting_a_multibyte_char_still_counts() {
+        // The 3-byte `—` straddles the first 512-byte block boundary, so
+        // neither of the first two blocks is valid UTF-8 on its own.
+        let block = (CACHE_BLOCK_TOKENS * 4) as usize;
+        let prompt = format!("{}—{}", "a".repeat(block - 1), "b".repeat(block + 100));
+        assert!(!prompt.is_char_boundary(block));
+        let mut c = PrefixCache::new();
+        c.observe(&prompt);
+        assert_eq!(c.observe(&prompt), estimate_tokens(&prompt));
     }
 
     #[test]

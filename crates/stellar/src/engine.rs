@@ -11,6 +11,7 @@ use darshan::{tables::to_tables, Collector, Table};
 use llmsim::{ModelProfile, ParamFact, SimLlm, UsageMeter};
 use pfs::params::{ParamRegistry, TuningConfig};
 use pfs::topology::ClusterSpec;
+use pfs::trace::NullSink;
 use pfs::PfsSimulator;
 use ragx::{ExtractedParam, ExtractionReport, RagExtractor};
 use serde::{Deserialize, Serialize};
@@ -223,6 +224,27 @@ impl Stellar {
         (result.wall_secs, header, tables)
     }
 
+    /// Run one untraced execution — same streams, seed and fault plan as
+    /// [`Stellar::traced_run`], with no Darshan collector — returning the
+    /// wall time.
+    pub(crate) fn untraced_run(
+        &self,
+        workload: &dyn Workload,
+        cfg: &TuningConfig,
+        seed: u64,
+    ) -> f64 {
+        let streams = workload.generate(self.sim.topology(), seed);
+        self.sim
+            .run_traced_faulted(
+                streams,
+                cfg,
+                seed,
+                self.options.faults.as_ref(),
+                &mut NullSink,
+            )
+            .wall_secs
+    }
+
     /// Open a steppable tuning session against `workload`.
     ///
     /// The session consults `rules` when priming the Tuning Agent —
@@ -285,6 +307,31 @@ mod tests {
         assert!(!run.end_reason.is_empty());
         assert!(!run.new_rules.is_empty(), "should learn rules");
         assert!(!rules.is_empty(), "global rule set updated");
+    }
+
+    /// An attempt's untraced run times exactly like the traced run it
+    /// replaces, fault plan included.
+    #[test]
+    fn untraced_run_matches_traced_wall_under_faults() {
+        // Every OST degraded from the start, so the plan bites whatever
+        // OSTs the file lands on.
+        let plan = pfs::FaultPlan::new(
+            (0..default_topology().ost_count())
+                .map(|ost| pfs::FaultEvent {
+                    at_nanos: 0,
+                    ost,
+                    kind: pfs::FaultKind::Degrade { factor: 3.0 },
+                })
+                .collect(),
+        );
+        let faulted = crate::StellarBuilder::new().faults(plan).build();
+        let w = WorkloadKind::Ior16M.spec().scaled(0.1);
+        let cfg = TuningConfig::lustre_default();
+        let (traced, _, _) = faulted.traced_run(w.as_ref(), &cfg, 11);
+        let untraced = faulted.untraced_run(w.as_ref(), &cfg, 11);
+        assert_eq!(untraced.to_bits(), traced.to_bits());
+        let pristine = engine().untraced_run(w.as_ref(), &cfg, 11);
+        assert_ne!(untraced.to_bits(), pristine.to_bits(), "the plan must bite");
     }
 
     #[test]

@@ -47,6 +47,7 @@
 //!   even with injection on.
 
 use crate::engine::{AttemptRecord, SeedPolicy, Stellar, TuningRun};
+use agents::analysis::tables_digest;
 use agents::{
     AnalysisAgent, AnalysisQuestion, Answer, ContextTag, IoReport, RuleSnapshot, ToolCall,
     TuningAgent,
@@ -433,6 +434,9 @@ pub struct TuningSession<'a> {
     default_wall: f64,
     header: String,
     tables: Vec<Table>,
+    /// [`tables_digest`] of `tables`, rendered by the first Analysis Agent
+    /// call and reused by every later one (never, without analysis).
+    digest: Option<String>,
     report: Option<IoReport>,
     agent: Option<TuningAgent>,
     attempts: Vec<AttemptRecord>,
@@ -486,6 +490,7 @@ impl<'a> TuningSession<'a> {
             default_wall: 0.0,
             header: String::new(),
             tables: Vec::new(),
+            digest: None,
             report: None,
             agent: None,
             attempts: Vec::new(),
@@ -797,8 +802,11 @@ impl<'a> TuningSession<'a> {
 
     fn step_analyze(&mut self) -> SessionEvent {
         if self.engine.options().tuning.use_analysis {
+            let digest = self
+                .digest
+                .get_or_insert_with(|| tables_digest(&self.tables));
             let mut agent = AnalysisAgent::new(&mut self.analysis_backend);
-            let report = agent.initial_report(&self.header, &self.tables);
+            let report = agent.initial_report(&self.header, &self.tables, digest);
             self.report = Some(report.clone());
             self.build_agent();
             self.phase = Phase::Drive;
@@ -819,8 +827,11 @@ impl<'a> TuningSession<'a> {
         let mut agent = self.agent.take().expect("agent exists in Drive phase");
         let event = match agent.decide(&mut self.tuning_backend) {
             ToolCall::Analyze(q) => {
+                let digest = self
+                    .digest
+                    .get_or_insert_with(|| tables_digest(&self.tables));
                 let mut analysis = AnalysisAgent::new(&mut self.analysis_backend);
-                let answer = analysis.answer(q, &self.tables);
+                let answer = analysis.answer(q, &self.tables, digest);
                 agent.accept_answer(answer.clone());
                 self.agent = Some(agent);
                 SessionEvent::MinorLoopQuestion {
@@ -830,15 +841,16 @@ impl<'a> TuningSession<'a> {
             }
             ToolCall::RunConfig { config, .. } => {
                 // Hygiene between runs: a fresh simulator state per
-                // execution (delete files, drop caches, remount).
+                // execution (delete files, drop caches, remount). Attempts
+                // run untraced: minor-loop questions only come before the
+                // first attempt, so nothing would read their dataframes.
                 let config = config.clamped(&self.registry, self.engine.sim().topology());
                 let iteration = self.attempts.len() + 1;
-                let (wall, _h, tables) = self.engine.traced_run(
+                let wall = self.engine.untraced_run(
                     self.workload,
                     &config,
                     combine(self.run_seed, 100 + iteration as u64),
                 );
-                self.tables = tables;
                 agent.record_result(config.clone(), wall);
                 let record = AttemptRecord {
                     iteration,
@@ -1045,6 +1057,31 @@ mod tests {
         let attempts = rec.events.iter().filter(|e| *e == "attempt").count();
         assert_eq!(attempts, run.attempts.len());
         assert_eq!(rec.last_tuning_calls, run.tuning_usage.calls);
+    }
+
+    /// The digest is rendered by the first Analysis Agent call and kept
+    /// for the session; the `No Analysis` ablation never renders it.
+    #[test]
+    fn digest_is_rendered_only_when_the_analysis_agent_runs() {
+        let w = WorkloadKind::MdWorkbench8K.spec().scaled(0.05);
+        for use_analysis in [true, false] {
+            let engine = StellarBuilder::new().use_analysis(use_analysis).build();
+            let mut session = engine.session(w.as_ref(), RuleSet::new(), 7);
+            while !session.is_ended() {
+                session.step();
+                if !use_analysis {
+                    assert!(session.digest.is_none(), "No Analysis rendered the digest");
+                }
+            }
+            if use_analysis {
+                let expected = tables_digest(&session.tables);
+                assert_eq!(session.digest.as_deref(), Some(expected.as_str()));
+            }
+            let run = session.into_run();
+            // The report and two follow-ups, or nothing at all.
+            let analysis_calls = if use_analysis { 3 } else { 0 };
+            assert_eq!(run.analysis_usage.calls, analysis_calls);
+        }
     }
 
     #[test]

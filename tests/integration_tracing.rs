@@ -1,6 +1,7 @@
 //! Cross-crate integration: simulator ⇄ Darshan ⇄ Analysis Agent
 //! consistency (conservation laws and classification stability).
 
+use agents::analysis::tables_digest;
 use darshan::counters::Counter;
 use darshan::{tables::to_tables, Collector};
 use llmsim::{ModelProfile, SimLlm};
@@ -69,7 +70,7 @@ fn analysis_classification_is_stable_across_scales_and_configs() {
             let (header, tables) = to_tables(&log);
             let mut backend = SimLlm::new(ModelProfile::gpt_4o(), 1);
             let mut agent = agents::AnalysisAgent::new(&mut backend);
-            let report = agent.initial_report(&header, &tables);
+            let report = agent.initial_report(&header, &tables, &tables_digest(&tables));
             assert_eq!(
                 report.classify(),
                 expected,
@@ -96,14 +97,22 @@ fn shared_file_detection_matches_workload_structure() {
     let (_, ior_log) = trace(WorkloadKind::Ior16M, 0.1);
     let (header, tables) = to_tables(&ior_log);
     let mut backend = SimLlm::new(ModelProfile::gpt_4o(), 1);
-    let report = agents::AnalysisAgent::new(&mut backend).initial_report(&header, &tables);
+    let report = agents::AnalysisAgent::new(&mut backend).initial_report(
+        &header,
+        &tables,
+        &tables_digest(&tables),
+    );
     assert_eq!(report.shared_file_count, 1);
     assert_eq!(report.file_count, 1);
 
     let (_, mdw_log) = trace(WorkloadKind::MdWorkbench8K, 0.1);
     let (header, tables) = to_tables(&mdw_log);
     let mut backend = SimLlm::new(ModelProfile::gpt_4o(), 2);
-    let report = agents::AnalysisAgent::new(&mut backend).initial_report(&header, &tables);
+    let report = agents::AnalysisAgent::new(&mut backend).initial_report(
+        &header,
+        &tables,
+        &tables_digest(&tables),
+    );
     assert_eq!(report.shared_file_count, 0);
     assert!(report.file_count > 100);
 }
