@@ -11,7 +11,11 @@
 //!   64 chunks, and a contiguous insert sets whole words at once;
 //! * the second-chance (clock) queue holds **runs** `(file, start, len)` —
 //!   a contiguous insert appends one run or extends the tail run, and
-//!   eviction pops one chunk at a time from the front run.
+//!   eviction pops one chunk at a time from the front run;
+//! * a read classifies its chunks with [`PageCache::probe_range`], one
+//!   page word per 64 chunks: the hits are a popcount of `resident & mask`,
+//!   their referenced bits are set with one OR, and the misses come out as
+//!   maximal runs ready to be issued as RPCs.
 //!
 //! The clock's logical key sequence is exactly the one a per-chunk queue
 //! would hold, stale duplicates left by [`PageCache::invalidate_file`]
@@ -117,6 +121,59 @@ impl PageCache {
             }
             _ => false,
         }
+    }
+
+    /// [`PageCache::probe`] every chunk of `chunks`, a page word at a time:
+    /// sets the referenced bit of each resident chunk, appends the maximal
+    /// runs of missed chunks to `miss_runs` as `(first chunk, chunk count)`
+    /// in ascending order, and returns the number of hits. Equal to calling
+    /// `probe` on each chunk in ascending order — probes never evict, so
+    /// nothing a probe does can change what a later one sees.
+    pub fn probe_range(
+        &mut self,
+        file: FileId,
+        chunks: Range<u64>,
+        miss_runs: &mut Vec<(u64, u64)>,
+    ) -> u64 {
+        let mut hits = 0u64;
+        // The open miss run `(start, end)`, carried across page boundaries.
+        let mut run: Option<(u64, u64)> = None;
+        let mut chunk = chunks.start;
+        while chunk < chunks.end {
+            let page = chunk / PAGE_CHUNKS;
+            let base = page * PAGE_CHUNKS;
+            let hi = (chunks.end - base).min(PAGE_CHUNKS);
+            let mask = bit_range(chunk - base, hi);
+            let resident = match self.pages.get_mut(&(file, page)) {
+                Some(p) => {
+                    let hit = p.resident & mask;
+                    p.referenced |= hit;
+                    hit
+                }
+                None => 0,
+            };
+            hits += u64::from(resident.count_ones());
+            let mut miss = mask & !resident;
+            while miss != 0 {
+                let lo = u64::from(miss.trailing_zeros());
+                let len = u64::from((miss >> lo).trailing_ones());
+                let start = base + lo;
+                run = match run {
+                    Some((s, e)) if e == start => Some((s, start + len)),
+                    Some((s, e)) => {
+                        miss_runs.push((s, e - s));
+                        Some((start, start + len))
+                    }
+                    None => Some((start, start + len)),
+                };
+                miss &= !bit_range(lo, lo + len);
+            }
+            chunk = base + hi;
+        }
+        if let Some((s, e)) = run {
+            miss_runs.push((s, e - s));
+        }
+        hits
     }
 
     /// Whether `chunk` is resident, without touching recency.
@@ -447,6 +504,7 @@ mod tests {
         InsertRange(FileId, Range<u64>),
         Insert(FileId, u64),
         Probe(FileId, u64),
+        ProbeRange(FileId, Range<u64>),
         Contains(FileId, u64),
         Invalidate(FileId),
         /// Forget the clock. Every resident chunk keeps a clock key and
@@ -472,6 +530,24 @@ mod tests {
                 old.insert(*f, *c);
             }
             Op::Probe(f, c) => assert_eq!(new.probe(*f, *c), old.probe(*f, *c), "{op:?}"),
+            Op::ProbeRange(f, r) => {
+                let mut runs = vec![(7, 7)]; // pre-existing contents survive
+                let hits = new.probe_range(*f, r.clone(), &mut runs);
+                let mut old_hits = 0;
+                let mut old_runs = vec![(7, 7)];
+                for c in r.clone() {
+                    if old.probe(*f, c) {
+                        old_hits += 1;
+                    } else {
+                        let fresh = old_runs.len() > 1;
+                        match old_runs.last_mut() {
+                            Some((s, l)) if fresh && *s + *l == c => *l += 1,
+                            _ => old_runs.push((c, 1)),
+                        }
+                    }
+                }
+                assert_eq!((hits, runs), (old_hits, old_runs), "{op:?}");
+            }
             Op::Contains(f, c) => assert_eq!(new.contains(*f, *c), old.contains(*f, *c), "{op:?}"),
             Op::Invalidate(f) => {
                 new.invalidate_file(*f);
@@ -517,13 +593,14 @@ mod tests {
 
     fn arb_op() -> impl Strategy<Value = Op> {
         let file = (1u32..4).prop_map(FileId);
-        (0u8..13, file, arb_chunk(), 0u64..140).prop_map(|(kind, f, c, len)| match kind {
+        (0u8..15, file, arb_chunk(), 0u64..140).prop_map(|(kind, f, c, len)| match kind {
             0..=3 => Op::InsertRange(f, c..c + len),
             4 | 5 => Op::Insert(f, c),
             6 | 7 => Op::Probe(f, c),
-            8 => Op::Contains(f, c),
-            9 | 10 => Op::Invalidate(f),
-            11 => Op::DropClock,
+            8 | 9 => Op::ProbeRange(f, c..c + len),
+            10 => Op::Contains(f, c),
+            11 | 12 => Op::Invalidate(f),
+            13 => Op::DropClock,
             _ => Op::Budget(len % 9),
         })
     }
@@ -538,6 +615,27 @@ mod tests {
         ) {
             run_both(budget, &ops);
         }
+    }
+
+    #[test]
+    fn probe_range_joins_miss_runs_across_pages() {
+        let f = FileId(1);
+        let ops = [
+            Op::InsertRange(f, 10..20),
+            Op::InsertRange(f, 70..72),
+            Op::InsertRange(f, 128..192),
+            // Misses 0..10, 20..70 (across the page edge at 64) and 72..128;
+            // the fully resident third page is all hits.
+            Op::ProbeRange(f, 0..192),
+            Op::ProbeRange(f, 5..5),
+            Op::ProbeRange(FileId(2), 60..70),
+        ];
+        run_both(1000, &ops);
+        let mut c = PageCache::new(1 << 30);
+        c.insert_range(f, 10..20);
+        let mut runs = Vec::new();
+        assert_eq!(c.probe_range(f, 0..130, &mut runs), 10);
+        assert_eq!(runs, vec![(0, 10), (20, 110)]);
     }
 
     #[test]

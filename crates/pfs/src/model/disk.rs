@@ -12,6 +12,7 @@ use simcore::hash::FxBuildHasher;
 use simcore::resources::{FifoServer, Grant};
 use simcore::time::{Duration, SimTime};
 use simcore::SimRng;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// One OST's device calendar.
@@ -55,15 +56,20 @@ impl DiskCalendar {
         noise: f64,
         rng: &mut SimRng,
     ) -> Grant {
-        let key = (file, obj_index);
-        let expected = self.streams.get(&key).copied();
-        let sequential = expected == Some(obj_offset);
+        // Read and advance the object's stream cursor with one lookup.
+        let next = obj_offset + bytes;
+        let sequential = match self.streams.entry((file, obj_index)) {
+            Entry::Occupied(mut cursor) => cursor.insert(next) == obj_offset,
+            Entry::Vacant(slot) => {
+                slot.insert(next);
+                false
+            }
+        };
         if sequential {
             self.seq_ops += 1;
         } else {
             self.rand_ops += 1;
         }
-        self.streams.insert(key, obj_offset + bytes);
         self.bytes += bytes;
 
         let seek_us = if sequential {

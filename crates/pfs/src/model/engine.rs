@@ -106,7 +106,9 @@ pub struct Engine<'s> {
     // order is laundered) and the annotated max-reduction over `files`.
     agg: HashMap<(u32, FileId, u32), DirtyRanges, FxBuildHasher>, // (client, file, obj_index)
     ra: HashMap<(u32, FileId), RaState, FxBuildHasher>,
-    ra_ready: HashMap<(u32, FileId, u64), SimTime, FxBuildHasher>, // chunk -> ready time
+    // (client, file) -> chunk -> ready time. An entry is removed once its
+    // last chunk is consumed, so "no readahead-ready chunks" is one lookup.
+    ra_ready: HashMap<(u32, FileId), HashMap<u64, SimTime, FxBuildHasher>, FxBuildHasher>,
     ra_inflight: Vec<std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, u64)>>>, // per client (end, bytes)
     ra_inflight_bytes: Vec<u64>,
     sa: HashMap<(u32, DirId), SaState, FxBuildHasher>,
@@ -265,8 +267,10 @@ impl<'s> Engine<'s> {
     /// Service-time multiplier of `ost` at simulated instant `at` under the
     /// run's fault plan (1.0 when pristine). Piecewise-constant in event-queue
     /// time, so the factor is a pure function of the deterministic schedule.
-    fn fault_factor(&self, ost: u32, at: SimTime) -> f64 {
-        match &self.faults {
+    /// An associated function, like `disk_at`, so `bulk_rpc` can call it
+    /// while it holds the OSC.
+    fn fault_factor(faults: &Option<FaultPlan>, ost: u32, at: SimTime) -> f64 {
+        match faults {
             Some(plan) => plan.factor(ost, at),
             None => 1.0,
         }
@@ -320,7 +324,14 @@ impl<'s> Engine<'s> {
     }
 
     /// One bulk data RPC: OSC window -> client NIC -> OSS NIC -> disk -> reply.
-    /// Returns completion time at the client.
+    /// Returns completion time at the client. Reads and writes share one
+    /// pipeline: the calendar composition is symmetric in direction.
+    /// `writeback` queues the RPC's bytes on the OSC's pending writeback,
+    /// which retires them from the dirty count when it completes.
+    ///
+    /// The OSC is resolved once and held across the RPC, for admission,
+    /// completion and the writeback push; every other resource is a
+    /// disjoint field.
     #[allow(clippy::too_many_arguments)] // mirrors the RPC descriptor fields
     fn bulk_rpc(
         &mut self,
@@ -331,24 +342,27 @@ impl<'s> Engine<'s> {
         obj_offset: u64,
         bytes: u64,
         now: SimTime,
-        is_write: bool,
+        writeback: bool,
         short_io: bool,
     ) -> SimTime {
-        let _ = is_write; // reads traverse the request first, then data flows
-                          // back; the calendar composition is symmetric, so
-                          // both directions share one pipeline.
-        let admit = self.osc_mut(client, ost).window.admit(now);
         let setup = if short_io {
             Duration::ZERO
         } else {
             self.bulk_setup()
         };
-        let t0 = admit + setup + self.half_rtt();
+        let half_rtt = self.half_rtt();
+        let depth = self.cfg.osc_max_rpcs_in_flight as usize;
+        let osc = self
+            .oscs
+            .entry((client, ost))
+            .or_insert_with(|| OscState::new(depth));
+        let admit = osc.window.admit(now);
+        let t0 = admit + setup + half_rtt;
         let g_cnic = self.client_nics[client as usize].schedule(t0, bytes);
         let oss = self.topo.oss_of_ost(ost) as usize;
         let g_onic =
             Self::oss_nic_at(&mut self.oss_nics, &self.topo, oss).schedule(g_cnic.end, bytes);
-        let noise = self.run_noise * self.fault_factor(ost, g_onic.end);
+        let noise = self.run_noise * Self::fault_factor(&self.faults, ost, g_onic.end);
         let g_disk = Self::disk_at(&mut self.disks, &self.topo, ost).transfer(
             g_onic.end,
             file,
@@ -358,8 +372,11 @@ impl<'s> Engine<'s> {
             noise,
             &mut self.rng,
         );
-        let end = g_disk.end + self.half_rtt();
-        self.osc_mut(client, ost).window.complete(end);
+        let end = g_disk.end + half_rtt;
+        osc.window.complete(end);
+        if writeback {
+            osc.wb_pending.push(std::cmp::Reverse((end, bytes)));
+        }
         self.diag.bulk_rpcs += 1;
         end
     }
@@ -393,17 +410,18 @@ impl<'s> Engine<'s> {
         let rpc_bytes = self.cfg.rpc_bytes().max(4096);
         let mut off = obj_offset;
         let mut remaining = len;
+        let mut last_end = SimTime::ZERO;
         while remaining > 0 {
             let take = remaining.min(rpc_bytes);
             let end = self.bulk_rpc(client, file, obj_index, ost, off, take, now, true, false);
-            self.osc_mut(client, ost)
-                .wb_pending
-                .push(std::cmp::Reverse((end, take)));
-            if let Some(f) = self.files.get_mut(&file) {
-                f.last_wb_end = f.last_wb_end.max(end);
-            }
+            last_end = last_end.max(end);
             off += take;
             remaining -= take;
+        }
+        // Nothing reads the horizon mid-run, so one max per run is the
+        // per-RPC max.
+        if let Some(f) = self.files.get_mut(&file) {
+            f.last_wb_end = f.last_wb_end.max(last_end);
         }
     }
 
@@ -570,7 +588,7 @@ impl<'s> Engine<'s> {
                     e.obj_offset,
                     e.len,
                     t,
-                    true,
+                    false,
                     true,
                 );
                 end = end.max(done);
@@ -600,15 +618,11 @@ impl<'s> Engine<'s> {
             if over_cap {
                 // Push out buffered runs on this OSC, then wait for drain.
                 self.flush_osc(client, e.ost, t);
-                let before = t;
                 if let Some(ready) = self
                     .osc_mut(client, e.ost)
                     .drain_until_room(t, e.len, dirty_cap)
                 {
-                    let stall = ready.saturating_since(before);
-                    let osc = self.osc_mut(client, e.ost);
-                    osc.dirty_stall = osc.dirty_stall.saturating_add(stall);
-                    self.diag.dirty_stall_secs += stall.as_secs_f64();
+                    self.diag.dirty_stall_secs += ready.saturating_since(t).as_secs_f64();
                     t = ready;
                 }
             }
@@ -639,46 +653,49 @@ impl<'s> Engine<'s> {
 
         let t = now + self.lock_acquire(client, file, offset, len);
 
-        // Classify chunks: cached / readahead-inflight / miss. The run
-        // accumulator reuses the flush scratch buffer ((offset, len) in
-        // bytes): reads never flush, so the two holders cannot overlap.
+        // Classify chunks: cached / readahead-ready / miss, collecting the
+        // misses as maximal `(first chunk, chunk count)` runs. The run
+        // accumulator reuses the flush scratch buffer: reads never flush, so
+        // the two holders cannot overlap.
         let mut miss_runs = std::mem::take(&mut self.scratch_runs);
+        debug_assert!(miss_runs.is_empty());
+        let chunks = chunks_covering(offset, len);
+        let total = chunks.end - chunks.start;
         let mut wait_until = t;
-        let mut run_start: Option<u64> = None;
-        let mut last_chunk_end = 0u64;
-        for chunk in chunks_covering(offset, len) {
-            let cached = self.caches[client as usize].probe(file, chunk);
-            let ra_key = (client, file, chunk);
-            let ra_hit = if cached {
-                None
-            } else {
-                self.ra_ready.get(&ra_key).copied()
-            };
-            if cached {
-                self.diag.cache_hit_chunks += 1;
-            } else if let Some(ready) = ra_hit {
-                // Covered by a readahead RPC: wait for it if still in flight.
-                wait_until = wait_until.max(ready);
-                self.diag.cache_hit_chunks += 1;
-                self.ra_ready.remove(&ra_key);
-                self.caches[client as usize].insert(file, chunk);
-            } else {
-                self.diag.cache_miss_chunks += 1;
-            }
-            let is_miss = !cached && ra_hit.is_none();
-            let chunk_start = chunk * CHUNK_BYTES;
-            if is_miss {
-                if run_start.is_none() {
-                    run_start = Some(chunk_start);
+        let cache = &mut self.caches[client as usize];
+        let ra_key = (client, file);
+        let hits = match self.ra_ready.get_mut(&ra_key) {
+            // No readahead is ready for this file: a page word at a time.
+            None => cache.probe_range(file, chunks, &mut miss_runs),
+            // Chunk by chunk: a readahead hit inserts into the cache
+            // mid-loop, which can evict a later chunk of this same read.
+            // Entries of chunks found cached stay, stale, as they always have.
+            Some(ready) => {
+                let mut hits = 0;
+                for chunk in chunks {
+                    if cache.probe(file, chunk) {
+                        hits += 1;
+                    } else if let Some(at) = ready.remove(&chunk) {
+                        // Covered by a readahead RPC: wait for it if still in
+                        // flight.
+                        wait_until = wait_until.max(at);
+                        hits += 1;
+                        cache.insert(file, chunk);
+                    } else {
+                        match miss_runs.last_mut() {
+                            Some((first, count)) if *first + *count == chunk => *count += 1,
+                            _ => miss_runs.push((chunk, 1)),
+                        }
+                    }
                 }
-                last_chunk_end = chunk_start + CHUNK_BYTES;
-            } else if let Some(s) = run_start.take() {
-                miss_runs.push((s, last_chunk_end - s));
+                if ready.is_empty() {
+                    self.ra_ready.remove(&ra_key);
+                }
+                hits
             }
-        }
-        if let Some(s) = run_start.take() {
-            miss_runs.push((s, last_chunk_end - s));
-        }
+        };
+        self.diag.cache_hit_chunks += hits;
+        self.diag.cache_miss_chunks += total - hits;
 
         // Issue synchronous RPCs for misses.
         let rpc_bytes = self.cfg.rpc_bytes().max(CHUNK_BYTES);
@@ -686,9 +703,9 @@ impl<'s> Engine<'s> {
         let mut end = wait_until;
         let osts = self.placements.osts(&layout);
         let mut extents = std::mem::take(&mut self.scratch_extents);
-        for (roff, rlen) in &miss_runs {
-            let mut cur = *roff;
-            let stop = roff + rlen;
+        for &(first, count) in &miss_runs {
+            let mut cur = first * CHUNK_BYTES;
+            let stop = (first + count) * CHUNK_BYTES;
             while cur < stop {
                 let take = (stop - cur).min(rpc_bytes);
                 layout.map_into(cur, take, self.topo.ost_count(), Some(&osts), &mut extents);
@@ -708,7 +725,7 @@ impl<'s> Engine<'s> {
                 }
                 cur += take;
             }
-            self.caches[client as usize].insert_range(file, chunks_covering(*roff, *rlen));
+            self.caches[client as usize].insert_range(file, first..first + count);
         }
         self.scratch_extents = extents;
         miss_runs.clear();
@@ -802,10 +819,10 @@ impl<'s> Engine<'s> {
         while cur < stop {
             let take = (stop - cur).min(rpc_bytes);
             // Skip fully resident pieces cheaply at chunk granularity.
-            let all_resident = chunks_covering(cur, take).all(|c| {
-                self.caches[client as usize].contains(file, c)
-                    || self.ra_ready.contains_key(&(client, file, c))
-            });
+            let cache = &self.caches[client as usize];
+            let ready = self.ra_ready.get(&(client, file));
+            let all_resident = chunks_covering(cur, take)
+                .all(|c| cache.contains(file, c) || ready.is_some_and(|r| r.contains_key(&c)));
             if !all_resident {
                 let mut piece_end = now;
                 layout.map_into(cur, take, self.topo.ost_count(), Some(&osts), &mut extents);
@@ -823,8 +840,9 @@ impl<'s> Engine<'s> {
                     );
                     piece_end = piece_end.max(done);
                 }
+                let ready = self.ra_ready.entry((client, file)).or_default();
                 for chunk in chunks_covering(cur, take) {
-                    self.ra_ready.insert((client, file, chunk), piece_end);
+                    ready.insert(chunk, piece_end);
                 }
                 self.ra_inflight[client as usize].push(std::cmp::Reverse((piece_end, take)));
                 self.ra_inflight_bytes[client as usize] += take;
@@ -877,7 +895,7 @@ impl<'s> Engine<'s> {
             self.mds_background(now, 2.0);
             for obj in 0..layout.stripe_count {
                 let ost = layout.ost_of(obj, self.topo.ost_count());
-                let noise = self.run_noise * self.fault_factor(ost, now);
+                let noise = self.run_noise * Self::fault_factor(&self.faults, ost, now);
                 let _ = Self::disk_at(&mut self.disks, &self.topo, ost).small_op(now, noise);
             }
             let residual_us = 2.0 * (self.topo.mds_getattr_us + self.topo.rpc_rtt_us) / depth + 6.0;
@@ -895,7 +913,7 @@ impl<'s> Engine<'s> {
         let mut end = mds_done;
         for obj in 0..layout.stripe_count {
             let ost = layout.ost_of(obj, self.topo.ost_count());
-            let noise = self.run_noise * self.fault_factor(ost, glimpse_arrival);
+            let noise = self.run_noise * Self::fault_factor(&self.faults, ost, glimpse_arrival);
             let g =
                 Self::disk_at(&mut self.disks, &self.topo, ost).small_op(glimpse_arrival, noise);
             end = end.max(g.end + half + half);
@@ -1058,7 +1076,7 @@ impl<'s> Engine<'s> {
                 // Object destroys proceed asynchronously on each OST.
                 for obj in 0..layout.stripe_count {
                     let ost = layout.ost_of(obj, self.topo.ost_count());
-                    let noise = self.run_noise * self.fault_factor(ost, end);
+                    let noise = self.run_noise * Self::fault_factor(&self.faults, ost, end);
                     let disk = Self::disk_at(&mut self.disks, &self.topo, ost);
                     let _ = disk.small_op(end, noise);
                     disk.forget(file, obj);

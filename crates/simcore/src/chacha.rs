@@ -103,10 +103,17 @@ impl ChaCha8 {
     }
 
     /// Next 64 keystream bits (low word first, `rand_core` convention).
+    /// When both words are already buffered they are taken in one step;
+    /// only a pair that straddles a block boundary goes word by word.
     pub fn next_u64(&mut self) -> u64 {
-        let lo = u64::from(self.next_u32());
-        let hi = u64::from(self.next_u32());
-        (hi << 32) | lo
+        let (lo, hi) = if self.word_idx < 15 {
+            let pair = (self.block[self.word_idx], self.block[self.word_idx + 1]);
+            self.word_idx += 2;
+            pair
+        } else {
+            (self.next_u32(), self.next_u32())
+        };
+        (u64::from(hi) << 32) | u64::from(lo)
     }
 }
 
@@ -143,6 +150,28 @@ mod tests {
         // More than one block (16 words = 8 u64s) without repetition.
         let unique: std::collections::BTreeSet<_> = xs.iter().collect();
         assert_eq!(unique.len(), xs.len());
+    }
+
+    /// `next_u64` equals two `next_u32`s, low word first, at every
+    /// alignment against the block, across many block boundaries.
+    #[test]
+    fn next_u64_equals_two_words_at_any_alignment() {
+        for lead in 0..3 {
+            let mut fast = ChaCha8::seed_from_u64(9);
+            let mut words = fast.clone();
+            for _ in 0..lead {
+                assert_eq!(fast.next_u32(), words.next_u32());
+            }
+            for i in 0..200 {
+                if i % 7 == 3 {
+                    assert_eq!(fast.next_u32(), words.next_u32());
+                    continue;
+                }
+                let lo = u64::from(words.next_u32());
+                let hi = u64::from(words.next_u32());
+                assert_eq!(fast.next_u64(), (hi << 32) | lo, "lead {lead}, draw {i}");
+            }
+        }
     }
 
     #[test]

@@ -3,11 +3,22 @@
 
 #![cfg(test)]
 
-use crate::resources::{BandwidthChannel, FifoServer, MultiServer, Window};
+use crate::resources::{BandwidthChannel, FifoServer, Grant, MultiServer, Window};
 use crate::stats::{Accumulator, Histogram};
 use crate::time::{Duration, SimTime};
 use crate::EventQueue;
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// `Duration::from_secs_f64` as it was written before its rounding moved to
+/// integer arithmetic.
+fn reference_nanos(s: f64) -> u64 {
+    if !s.is_finite() || s <= 0.0 {
+        return 0;
+    }
+    (s * 1e9).round() as u64
+}
 
 fn arrivals() -> impl Strategy<Value = Vec<(u64, u64)>> {
     // (inter-arrival gap ns, service ns) pairs; gaps accumulate so arrival
@@ -114,6 +125,74 @@ proptest! {
         let total: u64 = reqs.iter().map(|(_, b)| *b).sum();
         prop_assert_eq!(ch.bytes_moved(), total);
         prop_assert!(ch.free_at().as_secs_f64() >= expected - 1e-9);
+    }
+
+    /// MultiServer replaces its heap top in place; it must grant exactly
+    /// what popping the earliest free server and pushing its new free time
+    /// does, for any arrival order (ties included).
+    #[test]
+    fn multiserver_equals_pop_push_reference(
+        reqs in proptest::collection::vec((0u64..50, 0u64..20), 1..80),
+        k in 1usize..6,
+    ) {
+        let mut pool = MultiServer::new(k);
+        let mut reference: BinaryHeap<Reverse<SimTime>> =
+            (0..k).map(|_| Reverse(SimTime::ZERO)).collect();
+        for (at, svc) in reqs {
+            let arrival = SimTime::from_nanos(at);
+            let service = Duration::from_nanos(svc);
+            let Reverse(free) = reference.pop().expect("k > 0");
+            let start = arrival.max(free);
+            let end = start + service;
+            reference.push(Reverse(end));
+            prop_assert_eq!(pool.schedule(arrival, service), Grant { start, end });
+            prop_assert_eq!(pool.earliest_free(), reference.peek().expect("k > 0").0);
+        }
+    }
+
+    /// The bandwidth channel's remembered service time equals a fresh
+    /// `transfer_time` for every request, under repeated and alternating
+    /// sizes alike.
+    #[test]
+    fn bandwidth_memo_equals_fresh_service(
+        reqs in proptest::collection::vec(
+            (0u64..5_000_000, prop_oneof![Just(4096u64), Just(1 << 20), 0u64..3_000_000]),
+            1..60,
+        ),
+    ) {
+        let mut ch = BandwidthChannel::new(1.25e9, Duration::from_micros(20));
+        let mut reference = FifoServer::new();
+        let mut t = 0u64;
+        for (gap, bytes) in reqs {
+            t += gap;
+            let arrival = SimTime::from_nanos(t);
+            let want = reference.schedule(arrival, ch.transfer_time(bytes));
+            prop_assert_eq!(ch.schedule(arrival, bytes), want);
+        }
+    }
+
+    /// `Duration::from_secs_f64` equals libm rounding with `as` saturation
+    /// over any bit pattern: NaN, infinities, negatives, subnormals and
+    /// values past `u64::MAX` nanoseconds included.
+    #[test]
+    fn from_secs_f64_equals_round_any_bits(bits in 0u64..u64::MAX) {
+        let s = f64::from_bits(bits);
+        prop_assert_eq!(Duration::from_secs_f64(s).as_nanos(), reference_nanos(s), "{:e}", s);
+    }
+
+    /// The same over the exponents where nanosecond counts cross every
+    /// rounding regime: below one half, fractional, the 2^52/2^53 edges,
+    /// and saturation at 2^64.
+    #[test]
+    fn from_secs_f64_equals_round_near_ns(biased in 950u64..1100, mantissa in 0u64..1 << 52) {
+        let s = f64::from_bits(biased << 52 | mantissa);
+        prop_assert_eq!(Duration::from_secs_f64(s).as_nanos(), reference_nanos(s), "{:e}", s);
+    }
+
+    /// And over plain service times in seconds.
+    #[test]
+    fn from_secs_f64_equals_round_service_times(s in 0.0f64..10.0) {
+        prop_assert_eq!(Duration::from_secs_f64(s).as_nanos(), reference_nanos(s));
     }
 
     /// EventQueue: pops are globally sorted by (time, insertion order).

@@ -99,13 +99,14 @@ impl Duration {
         Duration(ns)
     }
 
-    /// Construct from fractional seconds, rounding to the nearest nanosecond.
-    /// Negative or non-finite inputs clamp to zero.
+    /// Construct from fractional seconds, rounding to the nearest nanosecond
+    /// (ties away from zero) and saturating at `u64::MAX`. Negative or
+    /// non-finite inputs clamp to zero.
     pub fn from_secs_f64(s: f64) -> Self {
         if !s.is_finite() || s <= 0.0 {
             return Duration::ZERO;
         }
-        Duration((s * 1e9).round() as u64)
+        Duration(round_positive(s * 1e9))
     }
 
     /// Fractional seconds (reporting only).
@@ -127,6 +128,31 @@ impl Duration {
     /// Saturating addition of two spans.
     pub fn saturating_add(self, other: Duration) -> Duration {
         Duration(self.0.saturating_add(other.0))
+    }
+}
+
+/// `x.round() as u64` for `x >= 0` (`+inf` included), from the bits: the
+/// same ties-away-from-zero rounding and `as` saturation without a libm
+/// `round` call. With `x = m * 2^e` (`m` the 53-bit significand), the
+/// integer part is `m >> -e` and the fraction is at least one half exactly
+/// when the bit below the binary point is set.
+fn round_positive(x: f64) -> u64 {
+    let bits = x.to_bits();
+    let biased = (bits >> 52) as i64;
+    if biased == 0 {
+        return 0; // zero or subnormal: far below one half
+    }
+    let m = (bits & ((1 << 52) - 1)) | (1 << 52);
+    let e = biased - 1075;
+    if e >= 12 {
+        u64::MAX // x >= 2^64 (or +inf): saturate
+    } else if e >= 0 {
+        m << e // x >= 2^52: already an integer
+    } else if e >= -53 {
+        let shift = -e;
+        (m >> shift) + ((m >> (shift - 1)) & 1)
+    } else {
+        0 // x < 1/2
     }
 }
 
@@ -211,6 +237,67 @@ mod tests {
         assert_eq!(Duration::from_secs_f64(-1.0), Duration::ZERO);
         assert_eq!(Duration::from_secs_f64(f64::NAN), Duration::ZERO);
         assert_eq!(Duration::from_secs_f64(f64::INFINITY), Duration::ZERO);
+    }
+
+    #[test]
+    fn from_secs_f64_saturates_and_floors_tiny_inputs() {
+        assert_eq!(Duration::from_secs_f64(f64::NEG_INFINITY), Duration::ZERO);
+        assert_eq!(Duration::from_secs_f64(-0.0), Duration::ZERO);
+        assert_eq!(Duration::from_secs_f64(f64::MIN_POSITIVE), Duration::ZERO);
+        assert_eq!(Duration::from_secs_f64(1e300).as_nanos(), u64::MAX);
+        assert_eq!(Duration::from_secs_f64(f64::MAX).as_nanos(), u64::MAX);
+        assert_eq!(Duration::from_secs_f64(1.5e-9).as_nanos(), 2);
+    }
+
+    /// `round_positive` against `x.round() as u64` at the edges of each of
+    /// its branches.
+    #[test]
+    fn round_positive_matches_libm_at_edges() {
+        let two52 = (1u64 << 52) as f64;
+        let two64 = 2f64.powi(64);
+        let mut xs = vec![
+            0.0,
+            0.25,
+            0.49999999999999994,
+            0.5,
+            0.5000000000000001,
+            1.0,
+            1.5,
+            2.5,
+            two52 - 1.5,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            2.0 * two52 - 1.0,
+            2.0 * two52,
+            2.0 * two52 + 2.0,
+            two64 - 2048.0,
+            two64,
+            two64 * 2.0,
+            f64::INFINITY,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+        ];
+        for k in [3u64, 1 << 20, (1 << 51) + 7, (1 << 52) - 1] {
+            xs.extend([
+                k as f64 + 0.5,
+                k as f64 - 0.5,
+                f64::from_bits((k as f64).to_bits() + 1),
+            ]);
+        }
+        for x in xs {
+            assert_eq!(round_positive(x), x.round() as u64, "{x:e}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Every tie `k + 0.5` below 2^52 rounds away from zero.
+        #[test]
+        fn round_positive_breaks_ties_away_from_zero(k in 0u64..1 << 52) {
+            let x = k as f64 + 0.5;
+            proptest::prop_assert_eq!(round_positive(x), x.round() as u64);
+            proptest::prop_assert_eq!(round_positive(x), k + 1);
+        }
     }
 
     #[test]
