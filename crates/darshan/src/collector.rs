@@ -1,21 +1,36 @@
 //! Runtime collector: turns the simulator's operation records into Darshan
 //! counters, exactly as `libdarshan` instruments an application.
+//!
+//! Records live in a `Vec<FileRecord>` in first-touch order. An index keyed
+//! by `(rank, file, module)` with the fixed-key Fx hasher maps each key to
+//! its slot, and a per-rank cache remembers the slot of that rank's last
+//! record: a rank's consecutive ops mostly hit the same file (create, write,
+//! close; open, read, close), so most records skip the index lookup. A rank
+//! at or beyond `nprocs` has no cache entry and always goes through the
+//! index. [`Collector::finish`] sorts the records by `(module, file, rank)`,
+//! so the log does not depend on first-touch order.
 
 use crate::counters::{read_size_bucket, write_size_bucket, Counter, FCounter};
 use crate::log::{DarshanLog, FileRecord, JobHeader};
 use pfs::ops::{FileId, Module};
 use pfs::trace::{OpClass, OpRecord, TraceSink};
+use simcore::hash::FxBuildHasher;
 use std::collections::HashMap;
+
+/// Per-rank cache value of a rank that has no record yet.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Accumulating trace sink. Use [`Collector::finish`] to obtain the log.
 #[derive(Debug)]
 pub struct Collector {
     exe: String,
     nprocs: u32,
-    // determinism audit (D002): accumulated by point lookups; `finish`
-    // drains into a Vec and sorts by (module, file, rank) before the
-    // records can reach a log or report
-    records: HashMap<(u32, FileId, Module), FileRecord>,
+    /// Records in first-touch order.
+    records: Vec<FileRecord>,
+    // determinism audit (D002): point lookups only, never iterated
+    index: HashMap<(u32, FileId, Module), u32, FxBuildHasher>,
+    /// Slot of each rank's last record, or [`NO_SLOT`].
+    last_slot: Vec<u32>,
     last_end: f64,
 }
 
@@ -25,21 +40,36 @@ impl Collector {
         Collector {
             exe: exe.into(),
             nprocs,
-            records: HashMap::new(),
+            records: Vec::new(),
+            index: HashMap::default(),
+            last_slot: vec![NO_SLOT; nprocs as usize],
             last_end: 0.0,
         }
     }
 
     fn entry(&mut self, rank: u32, file: FileId, module: Module) -> &mut FileRecord {
-        self.records
-            .entry((rank, file, module))
-            .or_insert_with(|| FileRecord::new(rank, file, module))
+        let cached = self.last_slot.get(rank as usize).copied();
+        if let Some(slot) = cached.filter(|&s| s != NO_SLOT) {
+            let r = &self.records[slot as usize];
+            if r.file == file && r.module == module {
+                return &mut self.records[slot as usize];
+            }
+        }
+        let next = self.records.len() as u32;
+        let slot = *self.index.entry((rank, file, module)).or_insert(next);
+        if slot == next {
+            self.records.push(FileRecord::new(rank, file, module));
+        }
+        if cached.is_some() {
+            self.last_slot[rank as usize] = slot;
+        }
+        &mut self.records[slot as usize]
     }
 
     /// Finalise: sort records, run the shared-file variance reduction, and
     /// return the completed log.
     pub fn finish(self) -> DarshanLog {
-        let mut records: Vec<FileRecord> = self.records.into_values().collect();
+        let mut records = self.records;
         records.sort_by_key(|r| (r.module.name(), r.file, r.rank));
         let mut files: Vec<FileId> = records.iter().map(|r| r.file).collect();
         files.sort();
@@ -58,6 +88,83 @@ impl Collector {
     }
 }
 
+/// Fold one completed operation into its record.
+fn apply(r: &mut FileRecord, rec: &OpRecord, end_secs: f64) {
+    let duration = (rec.end - rec.start).as_secs_f64();
+    match rec.class {
+        OpClass::Read => {
+            r.bump(Counter::Reads, 1);
+            r.bump(Counter::BytesRead, rec.bytes as i64);
+            r.raise(Counter::MaxByteRead, (rec.offset + rec.bytes) as i64);
+            r.bump(read_size_bucket(rec.bytes), 1);
+            r.fadd(FCounter::ReadTime, duration);
+            r.fraise(FCounter::MaxReadTime, duration);
+            if let Some(prev_end) = r.last_read_end {
+                if rec.offset == prev_end {
+                    r.bump(Counter::ConsecReads, 1);
+                }
+                if rec.offset >= prev_end {
+                    r.bump(Counter::SeqReads, 1);
+                }
+            }
+            r.last_read_end = Some(rec.offset + rec.bytes);
+            if r.last_was_write == Some(true) {
+                r.bump(Counter::RwSwitches, 1);
+            }
+            r.last_was_write = Some(false);
+        }
+        OpClass::Write => {
+            r.bump(Counter::Writes, 1);
+            r.bump(Counter::BytesWritten, rec.bytes as i64);
+            r.raise(Counter::MaxByteWritten, (rec.offset + rec.bytes) as i64);
+            r.bump(write_size_bucket(rec.bytes), 1);
+            r.fadd(FCounter::WriteTime, duration);
+            r.fraise(FCounter::MaxWriteTime, duration);
+            if let Some(prev_end) = r.last_write_end {
+                if rec.offset == prev_end {
+                    r.bump(Counter::ConsecWrites, 1);
+                }
+                if rec.offset >= prev_end {
+                    r.bump(Counter::SeqWrites, 1);
+                }
+            }
+            r.last_write_end = Some(rec.offset + rec.bytes);
+            if r.last_was_write == Some(false) {
+                r.bump(Counter::RwSwitches, 1);
+            }
+            r.last_was_write = Some(true);
+        }
+        OpClass::Open => {
+            r.bump(Counter::Opens, 1);
+            r.fadd(FCounter::MetaTime, duration);
+            let start = rec.start.as_secs_f64();
+            let cur = r.fget(FCounter::OpenStartTimestamp);
+            if cur == 0.0 || start < cur {
+                r.fset(FCounter::OpenStartTimestamp, start);
+            }
+        }
+        OpClass::Stat => {
+            r.bump(Counter::Stats, 1);
+            r.fadd(FCounter::MetaTime, duration);
+        }
+        OpClass::Close => {
+            r.fadd(FCounter::MetaTime, duration);
+            r.fraise(FCounter::CloseEndTimestamp, end_secs);
+        }
+        OpClass::Unlink => {
+            r.bump(Counter::Unlinks, 1);
+            r.fadd(FCounter::MetaTime, duration);
+        }
+        OpClass::Sync => {
+            r.bump(Counter::Fsyncs, 1);
+            r.fadd(FCounter::MetaTime, duration);
+        }
+        OpClass::DirOp => {
+            r.fadd(FCounter::MetaTime, duration);
+        }
+    }
+}
+
 impl TraceSink for Collector {
     fn record(&mut self, rec: &OpRecord) {
         let end_secs = rec.end.as_secs_f64();
@@ -67,80 +174,7 @@ impl TraceSink for Collector {
         let Some(file) = rec.file else {
             return; // pure directory ops are not per-file records
         };
-        let duration = (rec.end - rec.start).as_secs_f64();
-        let r = self.entry(rec.rank, file, rec.module);
-        match rec.class {
-            OpClass::Read => {
-                r.bump(Counter::Reads, 1);
-                r.bump(Counter::BytesRead, rec.bytes as i64);
-                r.raise(Counter::MaxByteRead, (rec.offset + rec.bytes) as i64);
-                r.bump(read_size_bucket(rec.bytes), 1);
-                r.fadd(FCounter::ReadTime, duration);
-                r.fraise(FCounter::MaxReadTime, duration);
-                if let Some(prev_end) = r.last_read_end {
-                    if rec.offset == prev_end {
-                        r.bump(Counter::ConsecReads, 1);
-                    }
-                    if rec.offset >= prev_end {
-                        r.bump(Counter::SeqReads, 1);
-                    }
-                }
-                r.last_read_end = Some(rec.offset + rec.bytes);
-                if r.last_was_write == Some(true) {
-                    r.bump(Counter::RwSwitches, 1);
-                }
-                r.last_was_write = Some(false);
-            }
-            OpClass::Write => {
-                r.bump(Counter::Writes, 1);
-                r.bump(Counter::BytesWritten, rec.bytes as i64);
-                r.raise(Counter::MaxByteWritten, (rec.offset + rec.bytes) as i64);
-                r.bump(write_size_bucket(rec.bytes), 1);
-                r.fadd(FCounter::WriteTime, duration);
-                r.fraise(FCounter::MaxWriteTime, duration);
-                if let Some(prev_end) = r.last_write_end {
-                    if rec.offset == prev_end {
-                        r.bump(Counter::ConsecWrites, 1);
-                    }
-                    if rec.offset >= prev_end {
-                        r.bump(Counter::SeqWrites, 1);
-                    }
-                }
-                r.last_write_end = Some(rec.offset + rec.bytes);
-                if r.last_was_write == Some(false) {
-                    r.bump(Counter::RwSwitches, 1);
-                }
-                r.last_was_write = Some(true);
-            }
-            OpClass::Open => {
-                r.bump(Counter::Opens, 1);
-                r.fadd(FCounter::MetaTime, duration);
-                let start = rec.start.as_secs_f64();
-                let cur = r.fget(FCounter::OpenStartTimestamp);
-                if cur == 0.0 || start < cur {
-                    r.fset(FCounter::OpenStartTimestamp, start);
-                }
-            }
-            OpClass::Stat => {
-                r.bump(Counter::Stats, 1);
-                r.fadd(FCounter::MetaTime, duration);
-            }
-            OpClass::Close => {
-                r.fadd(FCounter::MetaTime, duration);
-                r.fraise(FCounter::CloseEndTimestamp, end_secs);
-            }
-            OpClass::Unlink => {
-                r.bump(Counter::Unlinks, 1);
-                r.fadd(FCounter::MetaTime, duration);
-            }
-            OpClass::Sync => {
-                r.bump(Counter::Fsyncs, 1);
-                r.fadd(FCounter::MetaTime, duration);
-            }
-            OpClass::DirOp => {
-                r.fadd(FCounter::MetaTime, duration);
-            }
-        }
+        apply(self.entry(rec.rank, file, rec.module), rec, end_secs);
     }
 }
 
@@ -319,6 +353,129 @@ mod proptests {
             // SEQ >= CONSEC always.
             prop_assert!(sum(Counter::SeqWrites) >= sum(Counter::ConsecWrites));
             prop_assert!(sum(Counter::SeqReads) >= sum(Counter::ConsecReads));
+        }
+    }
+
+    /// The collector as first written: one SipHash map entry per
+    /// `(rank, file, module)`, drained and sorted at `finish`. Differential
+    /// oracle for the record index and the per-rank cache.
+    struct MapCollector {
+        nprocs: u32,
+        records: HashMap<(u32, FileId, Module), FileRecord>,
+        last_end: f64,
+    }
+
+    impl TraceSink for MapCollector {
+        fn record(&mut self, rec: &OpRecord) {
+            let end_secs = rec.end.as_secs_f64();
+            if end_secs > self.last_end {
+                self.last_end = end_secs;
+            }
+            let Some(file) = rec.file else {
+                return;
+            };
+            let r = self
+                .records
+                .entry((rec.rank, file, rec.module))
+                .or_insert_with(|| FileRecord::new(rec.rank, file, rec.module));
+            apply(r, rec, end_secs);
+        }
+    }
+
+    impl MapCollector {
+        fn finish(self) -> DarshanLog {
+            let mut records: Vec<FileRecord> = self.records.into_values().collect();
+            records.sort_by_key(|r| (r.module.name(), r.file, r.rank));
+            let mut files: Vec<FileId> = records.iter().map(|r| r.file).collect();
+            files.sort();
+            files.dedup();
+            let mut log = DarshanLog {
+                header: JobHeader {
+                    exe: "prop".into(),
+                    nprocs: self.nprocs,
+                    runtime_secs: self.last_end,
+                    file_count: files.len() as u64,
+                },
+                records,
+            };
+            crate::log::reference::shared_file_variance(&mut log);
+            log
+        }
+    }
+
+    /// `((rank, file selector, module), (class, offset, len), (gap, duration))`.
+    /// File selector 0 is a directory op (`file: None`), 1–2 repeat the
+    /// rank's previous file, 3–7 pick file 0–4.
+    type OpSpec = ((u32, u8, u8), (u8, u64, u64), (u64, u64));
+
+    fn arb_trace() -> impl Strategy<Value = Vec<OpSpec>> {
+        proptest::collection::vec(
+            (
+                (0u32..6, 0u8..8, 0u8..5),
+                (0u8..8, 0u64..1_000_000, 0u64..100_000),
+                (0u64..30, 0u64..100),
+            ),
+            0..300,
+        )
+    }
+
+    proptest! {
+        /// The indexed collector with its per-rank cache builds the same
+        /// log as the map collector: interleaved ranks, all three modules,
+        /// ranks at or beyond `nprocs` (4), directory ops, and ranks going
+        /// back to earlier files.
+        #[test]
+        fn collector_matches_map_collector(trace in arb_trace()) {
+            const NPROCS: u32 = 4;
+            let mut indexed = Collector::new("prop", NPROCS);
+            let mut map = MapCollector {
+                nprocs: NPROCS,
+                records: HashMap::new(),
+                last_end: 0.0,
+            };
+            let mut prev_file = [FileId(0); 6];
+            let mut t = 0u64;
+            for ((rank, file_sel, m), (class, offset, len), (gap, dur)) in trace {
+                let file = match file_sel {
+                    0 => None,
+                    1 | 2 => Some(prev_file[rank as usize]),
+                    k => Some(FileId(u32::from(k) - 3)),
+                };
+                if let Some(f) = file {
+                    prev_file[rank as usize] = f;
+                }
+                let class = [
+                    OpClass::Read,
+                    OpClass::Write,
+                    OpClass::Open,
+                    OpClass::Stat,
+                    OpClass::Close,
+                    OpClass::Unlink,
+                    OpClass::DirOp,
+                    OpClass::Sync,
+                ][class as usize];
+                let module = [
+                    Module::Posix,
+                    Module::Posix,
+                    Module::Posix,
+                    Module::MpiIo,
+                    Module::Stdio,
+                ][m as usize];
+                let rec = OpRecord {
+                    rank,
+                    file,
+                    module,
+                    class,
+                    offset,
+                    bytes: len,
+                    start: SimTime::from_micros(t),
+                    end: SimTime::from_micros(t + dur),
+                };
+                indexed.record(&rec);
+                map.record(&rec);
+                t += gap;
+            }
+            crate::log::reference::assert_same_log(&indexed.finish(), &map.finish());
         }
     }
 }

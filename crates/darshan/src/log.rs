@@ -3,7 +3,6 @@
 use crate::counters::{Counter, FCounter, COUNTERS, FCOUNTERS};
 use pfs::ops::{FileId, Module};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Job-level header (Darshan's log header).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -138,40 +137,45 @@ impl DarshanLog {
     /// Compute the shared-file variance reduction (Darshan computes these at
     /// log finalisation): for every file accessed by more than one rank,
     /// fill `VarianceRankTime` / `VarianceRankBytes` on each of its records.
+    ///
+    /// Records are grouped by `(module, file)` through a sort of
+    /// `(module, file, index)` triples, so each group's sums run over its
+    /// records in log order, whatever order the log holds them in.
     pub fn compute_shared_file_variance(&mut self) {
-        #[derive(Default)]
-        struct Agg {
-            times: Vec<f64>,
-            bytes: Vec<f64>,
-        }
-        let mut by_file: BTreeMap<(Module, FileId), Agg> = BTreeMap::new();
-        for r in &self.records {
-            let a = by_file.entry((r.module, r.file)).or_default();
-            a.times
-                .push(r.fget(FCounter::ReadTime) + r.fget(FCounter::WriteTime));
-            a.bytes
-                .push((r.get(Counter::BytesRead) + r.get(Counter::BytesWritten)) as f64);
-        }
-        let variance = |xs: &[f64]| -> f64 {
-            if xs.len() < 2 {
-                return 0.0;
-            }
-            let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-            xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64
-        };
-        let stats: BTreeMap<(Module, FileId), (f64, f64, usize)> = by_file
-            .into_iter()
-            .map(|(k, a)| (k, (variance(&a.times), variance(&a.bytes), a.times.len())))
+        let mut order: Vec<(Module, FileId, u32)> = (0u32..)
+            .zip(&self.records)
+            .map(|(i, r)| (r.module, r.file, i))
             .collect();
-        for r in &mut self.records {
-            if let Some(&(vt, vb, n)) = stats.get(&(r.module, r.file)) {
-                if n > 1 {
-                    r.fset(FCounter::VarianceRankTime, vt);
-                    r.fset(FCounter::VarianceRankBytes, vb);
-                }
+        order.sort_unstable();
+        for group in order.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            if group.len() < 2 {
+                continue;
+            }
+            let records = &self.records;
+            let vt = variance(group, |i| {
+                let r = &records[i];
+                r.fget(FCounter::ReadTime) + r.fget(FCounter::WriteTime)
+            });
+            let vb = variance(group, |i| {
+                let r = &records[i];
+                (r.get(Counter::BytesRead) + r.get(Counter::BytesWritten)) as f64
+            });
+            for &(_, _, i) in group {
+                let r = &mut self.records[i as usize];
+                r.fset(FCounter::VarianceRankTime, vt);
+                r.fset(FCounter::VarianceRankBytes, vb);
             }
         }
     }
+}
+
+/// Population variance of `value` over the records of `group`, summed in
+/// `group` order.
+fn variance(group: &[(Module, FileId, u32)], value: impl Fn(usize) -> f64) -> f64 {
+    let n = group.len() as f64;
+    let xs = || group.iter().map(|&(_, _, i)| value(i as usize));
+    let mean = xs().sum::<f64>() / n;
+    xs().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n
 }
 
 #[cfg(test)]
@@ -250,5 +254,129 @@ mod tests {
         let s = h.render();
         assert!(s.contains("IOR_16M"));
         assert!(s.contains("nprocs: 50"));
+    }
+}
+
+/// Differential oracles: the log-finalisation code as first written.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    /// The shared-file variance reduction with one `BTreeMap` entry and two
+    /// `Vec`s per `(module, file)`, filled in log order.
+    pub(crate) fn shared_file_variance(log: &mut DarshanLog) {
+        #[derive(Default)]
+        struct Agg {
+            times: Vec<f64>,
+            bytes: Vec<f64>,
+        }
+        let mut by_file: BTreeMap<(Module, FileId), Agg> = BTreeMap::new();
+        for r in &log.records {
+            let a = by_file.entry((r.module, r.file)).or_default();
+            a.times
+                .push(r.fget(FCounter::ReadTime) + r.fget(FCounter::WriteTime));
+            a.bytes
+                .push((r.get(Counter::BytesRead) + r.get(Counter::BytesWritten)) as f64);
+        }
+        let variance = |xs: &[f64]| -> f64 {
+            if xs.len() < 2 {
+                return 0.0;
+            }
+            let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+            xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64
+        };
+        let stats: BTreeMap<(Module, FileId), (f64, f64, usize)> = by_file
+            .into_iter()
+            .map(|(k, a)| (k, (variance(&a.times), variance(&a.bytes), a.times.len())))
+            .collect();
+        for r in &mut log.records {
+            if let Some(&(vt, vb, n)) = stats.get(&(r.module, r.file)) {
+                if n > 1 {
+                    r.fset(FCounter::VarianceRankTime, vt);
+                    r.fset(FCounter::VarianceRankBytes, vb);
+                }
+            }
+        }
+    }
+
+    /// Assert two logs equal field by field, float counters bit for bit.
+    pub(crate) fn assert_same_log(a: &DarshanLog, b: &DarshanLog) {
+        assert_eq!(a.header.exe, b.header.exe);
+        assert_eq!(a.header.nprocs, b.header.nprocs);
+        assert_eq!(
+            a.header.runtime_secs.to_bits(),
+            b.header.runtime_secs.to_bits()
+        );
+        assert_eq!(a.header.file_count, b.header.file_count);
+        assert_eq!(a.records.len(), b.records.len());
+        let bits = |r: &FileRecord| r.fcounters.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (x, y) in a.records.iter().zip(&b.records) {
+            assert_eq!((x.rank, x.file, x.module), (y.rank, y.file, y.module));
+            assert_eq!(x.counters, y.counters, "rank {} file {:?}", x.rank, x.file);
+            assert_eq!(bits(x), bits(y), "rank {} file {:?}", x.rank, x.file);
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `((module, file, rank), (read s, write s), (read B, write B))`.
+    type Spec = ((u8, u32, u32), (f64, f64), (i64, i64));
+
+    fn arb_records() -> impl Strategy<Value = Vec<Spec>> {
+        proptest::collection::vec(
+            (
+                (0u8..3, 0u32..6, 0u32..5),
+                (0.0f64..3.0, 0.0f64..0.01),
+                (0i64..1 << 40, 0i64..1 << 20),
+            ),
+            0..60,
+        )
+    }
+
+    fn log_of(specs: &[Spec]) -> DarshanLog {
+        let records = specs
+            .iter()
+            .map(|&((m, file, rank), (rt, wt), (rb, wb))| {
+                let module = [Module::Posix, Module::MpiIo, Module::Stdio][m as usize];
+                let mut r = FileRecord::new(rank, FileId(file), module);
+                r.fadd(FCounter::ReadTime, rt);
+                r.fadd(FCounter::WriteTime, wt);
+                r.bump(Counter::BytesRead, rb);
+                r.bump(Counter::BytesWritten, wb);
+                r
+            })
+            .collect();
+        DarshanLog {
+            header: JobHeader {
+                exe: "prop".into(),
+                nprocs: 5,
+                runtime_secs: 1.0,
+                file_count: 0,
+            },
+            records,
+        }
+    }
+
+    proptest! {
+        /// The sort-and-group reduction is bit-equal to the `BTreeMap` one
+        /// on records in any order, and in the order `Collector::finish`
+        /// leaves them.
+        #[test]
+        fn shared_file_variance_matches_btree_reduction(specs in arb_records()) {
+            let mut shuffled = log_of(&specs);
+            let mut sorted = log_of(&specs);
+            sorted.records.sort_by_key(|r| (r.module.name(), r.file, r.rank));
+            for log in [&mut shuffled, &mut sorted] {
+                let mut want = log.clone();
+                reference::shared_file_variance(&mut want);
+                log.compute_shared_file_variance();
+                reference::assert_same_log(log, &want);
+            }
+        }
     }
 }

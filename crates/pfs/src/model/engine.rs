@@ -1183,47 +1183,63 @@ impl<'s> Engine<'s> {
         // this processes the exact sequence the one-event `pop` loop did
         // while amortizing heap rebalancing across the batch.
         let mut batch: Vec<Event> = Vec::with_capacity(n);
-        while let Some(now) = queue.pop_run_into(&mut batch) {
-            for event in batch.drain(..) {
+        while let Some(batch_time) = queue.pop_run_into(&mut batch) {
+            let last = batch.len() - 1;
+            for (k, event) in batch.drain(..).enumerate() {
                 let Event::RankReady(i) = event;
-                if done[i] {
-                    continue;
-                }
-                if pcs[i] >= streams[i].ops.len() {
-                    done[i] = true;
-                    live -= 1;
-                    finish = finish.max(now);
-                    continue;
-                }
-                let op = streams[i].ops[pcs[i]];
-                pcs[i] += 1;
-                let rank = streams[i].rank;
-                let module = streams[i].module;
-
-                if matches!(op, IoOp::Barrier) {
-                    waiting_at_barrier.push(i);
-                    barrier_time = barrier_time.max(now);
-                    if waiting_at_barrier.len() == live {
-                        let resume = barrier_time + Duration::from_micros(60);
-                        // Release in rank order so same-instant create/open
-                        // races after a barrier resolve the way MPI programs
-                        // expect (creator ranks are the lowest in their
-                        // group).
-                        waiting_at_barrier.sort_unstable();
-                        for j in waiting_at_barrier.drain(..) {
-                            queue.push(resume, Event::RankReady(j));
-                        }
-                        barrier_time = SimTime::ZERO;
+                let mut now = batch_time;
+                loop {
+                    if done[i] {
+                        break;
                     }
-                    continue;
-                }
+                    if pcs[i] >= streams[i].ops.len() {
+                        done[i] = true;
+                        live -= 1;
+                        finish = finish.max(now);
+                        break;
+                    }
+                    let op = streams[i].ops[pcs[i]];
+                    pcs[i] += 1;
+                    let rank = streams[i].rank;
+                    let module = streams[i].module;
 
-                let (end, rec) = self.do_op(rank, &op, now);
-                if let Some(mut r) = rec {
-                    r.module = module;
-                    self.sink.record(&r);
+                    if matches!(op, IoOp::Barrier) {
+                        waiting_at_barrier.push(i);
+                        barrier_time = barrier_time.max(now);
+                        if waiting_at_barrier.len() == live {
+                            let resume = barrier_time + Duration::from_micros(60);
+                            // Release in rank order so same-instant
+                            // create/open races after a barrier resolve the
+                            // way MPI programs expect (creator ranks are the
+                            // lowest in their group).
+                            waiting_at_barrier.sort_unstable();
+                            for j in waiting_at_barrier.drain(..) {
+                                queue.push(resume, Event::RankReady(j));
+                            }
+                            barrier_time = SimTime::ZERO;
+                        }
+                        break;
+                    }
+
+                    let (end, rec) = self.do_op(rank, &op, now);
+                    if let Some(mut r) = rec {
+                        r.module = module;
+                        self.sink.record(&r);
+                    }
+                    let next = end.max(now);
+                    // The last event of a batch whose next time is strictly
+                    // earlier than the queue head is exactly what the next
+                    // `pop_run_into` would return, alone: keep running the
+                    // rank instead of taking that push/pop round trip.
+                    // Nothing else can run first, and every other entry
+                    // keeps its relative sequence order.
+                    if k == last && queue.peek_time().is_none_or(|head| next < head) {
+                        now = next;
+                        continue;
+                    }
+                    queue.push(next, Event::RankReady(i));
+                    break;
                 }
-                queue.push(end.max(now), Event::RankReady(i));
             }
         }
 

@@ -15,9 +15,18 @@ struct Entry<E> {
     event: E,
 }
 
+impl<E> Entry<E> {
+    /// `(time, seq)` packed into one integer whose order is the
+    /// lexicographic order of the pair, so an ordering is one comparison.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.time.as_nanos()) << 64) | u128::from(self.seq)
+    }
+}
+
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -29,12 +38,10 @@ impl<E> PartialOrd for Entry<E> {
 }
 
 impl<E> Ord for Entry<E> {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 

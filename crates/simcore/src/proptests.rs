@@ -216,6 +216,67 @@ proptest! {
         prop_assert_eq!(popped, times.len());
     }
 
+    /// EventQueue against a model that keeps `(time, seq, id)` triples and
+    /// pops the smallest: equal times, times up to `u64::MAX`, follow-ups
+    /// pushed while a batch drains (same-instant ones included), and both
+    /// the batched and the one-at-a-time pop.
+    #[test]
+    fn event_queue_matches_sorted_model(
+        high in 0u8..3,
+        initial in proptest::collection::vec(0u64..48, 1..40),
+        follow in proptest::collection::vec((0u8..4, 0u64..48), 0..300),
+        batched in 0u8..2,
+    ) {
+        // Near the top of the range pushes saturate at `u64::MAX`.
+        let base = [0, u64::MAX - 4_000, u64::MAX - 40][high as usize];
+        let mut q = EventQueue::new();
+        let mut model: Vec<(u64, u64, usize)> = Vec::new();
+        let mut seq = 0u64;
+        let mut push = |q: &mut EventQueue<usize>, model: &mut Vec<(u64, u64, usize)>, t: u64| {
+            let id = seq as usize;
+            q.push(SimTime::from_nanos(t), id);
+            model.push((t, seq, id));
+            seq += 1;
+        };
+        for &off in &initial {
+            push(&mut q, &mut model, base.saturating_add(off));
+        }
+        let model_pop = |model: &mut Vec<(u64, u64, usize)>| {
+            let k = (0..model.len()).min_by_key(|&k| (model[k].0, model[k].1))?;
+            Some(model.remove(k))
+        };
+        let mut follow = follow.into_iter();
+        let mut batch = Vec::new();
+        loop {
+            prop_assert_eq!(q.len(), model.len());
+            let head = model.iter().map(|&(t, s, _)| (t, s)).min();
+            prop_assert_eq!(q.peek_time(), head.map(|(t, _)| SimTime::from_nanos(t)));
+            let (now, drained) = if batched == 1 {
+                let Some(now) = q.pop_run_into(&mut batch) else { break };
+                let mut want = Vec::new();
+                while model.iter().any(|&(t, _, _)| t == now.as_nanos()) {
+                    want.push(model_pop(&mut model).expect("nonempty").2);
+                }
+                prop_assert_eq!(&batch, &want);
+                (now, std::mem::take(&mut batch))
+            } else {
+                let Some((now, id)) = q.pop() else { break };
+                let (t, _, want) = model_pop(&mut model).expect("model has the popped event");
+                prop_assert_eq!((now.as_nanos(), id), (t, want));
+                (now, vec![id])
+            };
+            prop_assert!(model.is_empty() || q.peek_time().is_some_and(|h| h >= now));
+            for _ in drained {
+                if let Some((kind, delta)) = follow.next() {
+                    if kind > 0 {
+                        push(&mut q, &mut model, now.as_nanos().saturating_add(delta));
+                    }
+                }
+            }
+        }
+        prop_assert!(model.is_empty());
+    }
+
     /// Accumulator merge is order-insensitive and matches sequential feed.
     #[test]
     fn accumulator_merge_associative(xs in proptest::collection::vec(-1e6f64..1e6, 2..100), split in 1usize..99) {
