@@ -117,7 +117,8 @@ pub const FCOUNTERS: [FCounter; 9] = [
 impl Counter {
     /// Storage index.
     pub fn index(self) -> usize {
-        COUNTERS.iter().position(|&c| c == self).expect("in table")
+        // `COUNTERS` lists the variants in declaration order.
+        self as usize
     }
 
     /// Darshan-style column name (module prefix added by the table builder).
@@ -206,7 +207,8 @@ impl Counter {
 impl FCounter {
     /// Storage index.
     pub fn index(self) -> usize {
-        FCOUNTERS.iter().position(|&c| c == self).expect("in table")
+        // `FCOUNTERS` lists the variants in declaration order.
+        self as usize
     }
 
     /// Darshan-style column name.
