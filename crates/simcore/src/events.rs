@@ -325,6 +325,22 @@ mod tests {
         assert_eq!(t1, vec![0, 1, 2, 3, 10, 12]);
     }
 
+    /// The packed key keeps time in the high 64 bits, so time still
+    /// decides the order once sequence numbers pass any narrower field.
+    #[test]
+    fn packed_key_orders_by_time_at_any_sequence_number() {
+        let mut q = EventQueue::new();
+        q.next_seq = 1 << 40;
+        q.push(SimTime::from_nanos(2), "later");
+        q.next_seq = (1 << 40) + (1 << 34);
+        q.push(SimTime::from_nanos(1), "earlier");
+        q.push(SimTime::from_nanos(u64::MAX), "last");
+        q.next_seq = u64::MAX - 1;
+        q.push(SimTime::from_nanos(1), "tie");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["earlier", "tie", "later", "last"]);
+    }
+
     #[test]
     fn pop_run_into_on_empty_queue_is_none() {
         let mut q: EventQueue<u8> = EventQueue::new();
