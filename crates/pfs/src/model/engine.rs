@@ -78,6 +78,11 @@ pub struct Engine<'s> {
     topo: ClusterSpec,
     cfg: TuningConfig,
     run_noise: f64,
+    // Constants of the run, converted once: half the wire round trip, the
+    // bulk RPC setup, and the MDS getattr service time in seconds.
+    half_rtt: Duration,
+    bulk_setup: Duration,
+    mds_getattr_secs: f64,
     faults: Option<FaultPlan>,
     rng: SimRng,
 
@@ -184,6 +189,9 @@ impl<'s> Engine<'s> {
             topo: topo.clone(),
             cfg: cfg.clone(),
             run_noise,
+            half_rtt: Duration::from_secs_f64(topo.rpc_rtt_us * 0.5e-6),
+            bulk_setup: Duration::from_secs_f64(topo.bulk_setup_us * 1e-6),
+            mds_getattr_secs: topo.mds_getattr_us * 1e-6,
             faults: faults.filter(|p| !p.is_empty()).cloned(),
             rng,
             client_nics,
@@ -276,21 +284,13 @@ impl<'s> Engine<'s> {
         }
     }
 
-    fn half_rtt(&self) -> Duration {
-        Duration::from_secs_f64(self.topo.rpc_rtt_us * 0.5e-6)
-    }
-
-    fn bulk_setup(&self) -> Duration {
-        Duration::from_secs_f64(self.topo.bulk_setup_us * 1e-6)
-    }
-
     fn memcpy(&self, bytes: u64) -> Duration {
         Duration::from_secs_f64(bytes as f64 / self.topo.mem_bytes_per_sec)
     }
 
     fn mds_service(&mut self, factor: f64) -> Duration {
         let jitter = self.rng.lognormal_factor(self.topo.op_noise_sigma);
-        Duration::from_secs_f64(self.topo.mds_getattr_us * 1e-6 * factor * self.run_noise * jitter)
+        Duration::from_secs_f64(self.mds_getattr_secs * factor * self.run_noise * jitter)
     }
 
     /// One synchronous metadata RPC through the MDS: window admission, wire
@@ -303,9 +303,9 @@ impl<'s> Engine<'s> {
             mdc.rpc_window.admit(now)
         };
         let svc = self.mds_service(svc_factor);
-        let arrive = admit + self.half_rtt();
+        let arrive = admit + self.half_rtt;
         let grant = self.mds.schedule(arrive, svc);
-        let end = grant.end + self.half_rtt();
+        let end = grant.end + self.half_rtt;
         let mdc = &mut self.mdcs[client as usize];
         if modifying {
             mdc.mod_window.complete(end);
@@ -319,7 +319,7 @@ impl<'s> Engine<'s> {
     /// Background (asynchronous) MDS load that does not block the rank.
     fn mds_background(&mut self, now: SimTime, svc_factor: f64) {
         let svc = self.mds_service(svc_factor);
-        let _ = self.mds.schedule(now + self.half_rtt(), svc);
+        let _ = self.mds.schedule(now + self.half_rtt, svc);
         self.diag.mds_ops += 1;
     }
 
@@ -348,9 +348,9 @@ impl<'s> Engine<'s> {
         let setup = if short_io {
             Duration::ZERO
         } else {
-            self.bulk_setup()
+            self.bulk_setup
         };
-        let half_rtt = self.half_rtt();
+        let half_rtt = self.half_rtt;
         let depth = self.cfg.osc_max_rpcs_in_flight as usize;
         let osc = self
             .oscs
@@ -908,8 +908,8 @@ impl<'s> Engine<'s> {
         // wide-striped small files doubly so).
         let lookup_done = self.mds_rpc(client, now, false, 1.0);
         let mds_done = self.mds_rpc(client, lookup_done, false, 1.0);
-        let glimpse_arrival = mds_done + self.half_rtt();
-        let half = self.half_rtt();
+        let glimpse_arrival = mds_done + self.half_rtt;
+        let half = self.half_rtt;
         let mut end = mds_done;
         for obj in 0..layout.stripe_count {
             let ost = layout.ost_of(obj, self.topo.ost_count());
