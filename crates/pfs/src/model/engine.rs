@@ -10,8 +10,9 @@
 //! 1k OSTs) without changing a single canonical byte relative to a dense
 //! small-grid run: per-OST and per-(client, OST) state is materialized
 //! lazily on first touch, rank cursors are structure-of-arrays, hot maps use
-//! a fixed-key deterministic hasher ([`simcore::hash`]), and same-timestamp
-//! events drain in batches ([`EventQueue::pop_run_into`]). See
+//! a fixed-key deterministic hasher ([`simcore::hash`]), same-timestamp
+//! events drain in batches ([`EventQueue::pop_run_into`]), and a rank that
+//! stays strictly earliest keeps running without a queue round trip. See
 //! `ARCHITECTURE.md` § "Simulation performance model" for the cost
 //! accounting and the argument why none of this is observable.
 
