@@ -137,9 +137,11 @@ fn apply(r: &mut FileRecord, rec: &OpRecord, end_secs: f64) {
         OpClass::Open => {
             r.bump(Counter::Opens, 1);
             r.fadd(FCounter::MetaTime, duration);
+            // The first open sets the timestamp, even at t = 0: a zero
+            // counter cannot mean "unset" when files are opened at the
+            // start of a run.
             let start = rec.start.as_secs_f64();
-            let cur = r.fget(FCounter::OpenStartTimestamp);
-            if cur == 0.0 || start < cur {
+            if r.get(Counter::Opens) == 1 || start < r.fget(FCounter::OpenStartTimestamp) {
                 r.fset(FCounter::OpenStartTimestamp, start);
             }
         }
@@ -267,6 +269,28 @@ mod tests {
         assert_eq!(r.get(Counter::Stats), 1);
         assert!((r.fget(FCounter::MetaTime) - 260e-6).abs() < 1e-9);
         assert!((r.fget(FCounter::CloseEndTimestamp) - 260e-6).abs() < 1e-9);
+    }
+
+    #[test]
+    fn open_start_keeps_a_first_open_at_time_zero() {
+        let mut c = Collector::new("t", 1);
+        c.record(&rec(0, 1, OpClass::Open, 0, 0, 0, 10));
+        c.record(&rec(0, 1, OpClass::Close, 0, 0, 10, 20));
+        c.record(&rec(0, 1, OpClass::Open, 0, 0, 500, 510));
+        let log = c.finish();
+        let r = &log.records[0];
+        assert_eq!(r.get(Counter::Opens), 2);
+        assert_eq!(r.fget(FCounter::OpenStartTimestamp), 0.0);
+    }
+
+    #[test]
+    fn open_start_is_the_first_open_when_it_is_later_than_zero() {
+        let mut c = Collector::new("t", 1);
+        c.record(&rec(0, 1, OpClass::Stat, 0, 0, 0, 5));
+        c.record(&rec(0, 1, OpClass::Open, 0, 0, 300, 310));
+        c.record(&rec(0, 1, OpClass::Open, 0, 0, 700, 710));
+        let log = c.finish();
+        assert!((log.records[0].fget(FCounter::OpenStartTimestamp) - 300e-6).abs() < 1e-12);
     }
 
     #[test]
