@@ -3,12 +3,9 @@
 //!
 //! Records live in a `Vec<FileRecord>` in first-touch order. An index keyed
 //! by `(rank, file, module)` with the fixed-key Fx hasher maps each key to
-//! its slot, and a per-rank cache remembers the slot of that rank's last
-//! record: a rank's consecutive ops mostly hit the same file (create, write,
-//! close; open, read, close), so most records skip the index lookup. A rank
-//! at or beyond `nprocs` has no cache entry and always goes through the
-//! index. [`Collector::finish`] sorts the records by `(module, file, rank)`,
-//! so the log does not depend on first-touch order.
+//! its slot, so a record costs one Fx hash and one probe before its counters
+//! are updated. [`Collector::finish`] sorts the records by
+//! `(module, file, rank)`, so the log does not depend on first-touch order.
 
 use crate::counters::{read_size_bucket, write_size_bucket, Counter, FCounter};
 use crate::log::{DarshanLog, FileRecord, JobHeader};
@@ -16,9 +13,6 @@ use pfs::ops::{FileId, Module};
 use pfs::trace::{OpClass, OpRecord, TraceSink};
 use simcore::hash::FxBuildHasher;
 use std::collections::HashMap;
-
-/// Per-rank cache value of a rank that has no record yet.
-const NO_SLOT: u32 = u32::MAX;
 
 /// Accumulating trace sink. Use [`Collector::finish`] to obtain the log.
 #[derive(Debug)]
@@ -29,8 +23,6 @@ pub struct Collector {
     records: Vec<FileRecord>,
     // determinism audit (D002): point lookups only, never iterated
     index: HashMap<(u32, FileId, Module), u32, FxBuildHasher>,
-    /// Slot of each rank's last record, or [`NO_SLOT`].
-    last_slot: Vec<u32>,
     last_end: f64,
 }
 
@@ -42,26 +34,15 @@ impl Collector {
             nprocs,
             records: Vec::new(),
             index: HashMap::default(),
-            last_slot: vec![NO_SLOT; nprocs as usize],
             last_end: 0.0,
         }
     }
 
     fn entry(&mut self, rank: u32, file: FileId, module: Module) -> &mut FileRecord {
-        let cached = self.last_slot.get(rank as usize).copied();
-        if let Some(slot) = cached.filter(|&s| s != NO_SLOT) {
-            let r = &self.records[slot as usize];
-            if r.file == file && r.module == module {
-                return &mut self.records[slot as usize];
-            }
-        }
         let next = self.records.len() as u32;
         let slot = *self.index.entry((rank, file, module)).or_insert(next);
         if slot == next {
             self.records.push(FileRecord::new(rank, file, module));
-        }
-        if cached.is_some() {
-            self.last_slot[rank as usize] = slot;
         }
         &mut self.records[slot as usize]
     }
@@ -382,7 +363,7 @@ mod proptests {
 
     /// The collector as first written: one SipHash map entry per
     /// `(rank, file, module)`, drained and sorted at `finish`. Differential
-    /// oracle for the record index and the per-rank cache.
+    /// oracle for the record index.
     struct MapCollector {
         nprocs: u32,
         records: HashMap<(u32, FileId, Module), FileRecord>,
@@ -444,10 +425,9 @@ mod proptests {
     }
 
     proptest! {
-        /// The indexed collector with its per-rank cache builds the same
-        /// log as the map collector: interleaved ranks, all three modules,
-        /// ranks at or beyond `nprocs` (4), directory ops, and ranks going
-        /// back to earlier files.
+        /// The indexed collector builds the same log as the map collector:
+        /// interleaved ranks, all three modules, ranks at or beyond `nprocs`
+        /// (4), directory ops, and ranks going back to earlier files.
         #[test]
         fn collector_matches_map_collector(trace in arb_trace()) {
             const NPROCS: u32 = 4;
